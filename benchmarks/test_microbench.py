@@ -103,11 +103,12 @@ def test_bench_batch_locate_vectorised_speedup():
     """1,000 patterns on a 100k-char text: batch kernel >= 5x the loop.
 
     The per-pattern loop is the pre-kernel query path (one pure-Python
-    binary search per pattern); the vectorised kernel rank-encodes the
-    length bucket once and answers every interval with two
-    ``np.searchsorted`` calls.  Also emits ``BENCH_kernel.json``
-    (machine-readable build/QPS/size figures) under ``results/`` when
-    ``REPRO_WRITE_RESULTS=1``, which CI uploads as an artifact.
+    binary search per pattern); the vectorised kernel builds the
+    SA-order prefix-key array (timed: it is reset before every run) and
+    answers every interval with two ``np.searchsorted`` calls.  Also
+    emits ``BENCH_kernel.json`` (machine-readable build/QPS/size
+    figures) under ``results/`` when ``REPRO_WRITE_RESULTS=1``, which
+    CI uploads as an artifact.
     """
     import json
     import os
@@ -135,7 +136,7 @@ def test_bench_batch_locate_vectorised_speedup():
         return [suffix.interval(pattern) for pattern in patterns]
 
     def locate_batch():
-        suffix._key_cache.clear()  # cold every run: key build included
+        suffix._prefix_keys = None  # cold every run: key build included
         return suffix.interval_batch(matrix)
 
     loop_answers, loop_seconds = _best_of(3, locate_loop)
@@ -149,7 +150,7 @@ def test_bench_batch_locate_vectorised_speedup():
     )
 
     # Warm batch-utility QPS through the full kernel path.
-    kernel.batch_utilities([p for p in matrix], "sum")  # prime key cache
+    kernel.batch_utilities([p for p in matrix], "sum")  # prime the prefix keys
     t0 = time.perf_counter()
     kernel.batch_utilities([p for p in matrix], "sum")
     warm_seconds = time.perf_counter() - t0

@@ -3,9 +3,11 @@
 Measures the fused batch query path — ``index.query_batch`` over the
 USI backend — against the *seed* query path on 10k patterns over a
 1M-char synthetic text, and asserts the fused path holds a >= 5x
-end-to-end speedup.  The seed path is the retained per-pattern
-fallback, exactly as the protocol still runs it for batch-less
-backends (:meth:`repro.api.protocol.UtilityIndexBase.query_batch`):
+end-to-end speedup — for lengths 4..11 and again for the paper's W1
+shape, lengths 4..64, whose misses span dozens of length buckets.
+The seed path is the retained per-pattern fallback, exactly as the
+protocol still runs it for batch-less backends
+(:meth:`repro.api.protocol.UtilityIndexBase.query_batch`):
 one ``index.query(pattern)`` call per pattern, each paying its own
 encode, fingerprint probe, suffix-array descent, and utility gather.
 
@@ -38,17 +40,27 @@ BENCH_PATTERNS = 10_000
 SPEEDUP_FLOOR = 5.0
 
 
-def _sample_patterns(rng, text: str, count: int) -> list[str]:
+def _sample_patterns(rng, text: str, count: int, longest: int = 11) -> list[str]:
     """Substrings of the indexed text, so every pattern has occurrences.
 
     Lengths 4..11 mirror the paper's query workloads: short enough
     that the frequent ones hit the top-K table, long enough that most
-    miss it (the expensive uncached path dominates).  Eight distinct
-    lengths keep warm batches inside the per-length key caches.
+    miss it (the expensive uncached path dominates).  ``longest=64``
+    gives the W1 tail, whose misses fall in ~60 length buckets.
     """
-    lengths = rng.integers(4, 12, size=count)
-    starts = rng.integers(0, len(text) - 11, size=count)
+    lengths = rng.integers(4, longest + 1, size=count)
+    starts = rng.integers(0, len(text) - longest, size=count)
     return [text[s : s + m] for s, m in zip(starts.tolist(), lengths.tolist())]
+
+
+def _best_of_two(run) -> "tuple[object, float]":
+    """The result and the faster of two timed runs of *run*."""
+    best = float("inf")
+    for _ in range(2):
+        t0 = time.perf_counter()
+        result = run()
+        best = min(best, time.perf_counter() - t0)
+    return result, best
 
 
 def test_query_batch_fused_speedup():
@@ -71,11 +83,7 @@ def test_query_batch_fused_speedup():
     # run, and this gate must hold on loaded CI runners.  The second
     # run also exercises the warm path (scratch buffers + SA-order
     # window cache reused across batches).
-    batch_seconds = float("inf")
-    for _ in range(2):
-        t0 = time.perf_counter()
-        batch_answers = index.query_batch(patterns)
-        batch_seconds = min(batch_seconds, time.perf_counter() - t0)
+    batch_answers, batch_seconds = _best_of_two(lambda: index.query_batch(patterns))
 
     # Same answers out of both paths (scalar vs batch may differ by
     # float accumulation order only).
@@ -92,12 +100,22 @@ def test_query_batch_fused_speedup():
     t0 = time.perf_counter()
     legacy_counts = [index.count(p) for p in patterns]
     count_legacy_seconds = time.perf_counter() - t0
-    count_batch_seconds = float("inf")
-    for _ in range(2):
-        t0 = time.perf_counter()
-        batch_counts = index.count_batch(patterns)
-        count_batch_seconds = min(count_batch_seconds, time.perf_counter() - t0)
+    batch_counts, count_batch_seconds = _best_of_two(lambda: index.count_batch(patterns))
     assert batch_counts == legacy_counts
+
+    # The W1 shape over the same index, from its own seed so the
+    # sharded figures below keep their inputs: lengths 4..64.
+    w1_patterns = _sample_patterns(np.random.default_rng(12), text, BENCH_PATTERNS, longest=64)
+    t0 = time.perf_counter()
+    w1_legacy_answers = [index.query(p) for p in w1_patterns]
+    w1_legacy_seconds = time.perf_counter() - t0
+    w1_answers, w1_batch_seconds = _best_of_two(lambda: index.query_batch(w1_patterns))
+    assert np.allclose(w1_answers, w1_legacy_answers, rtol=1e-9, atol=0.0)
+    w1_speedup = w1_legacy_seconds / w1_batch_seconds
+    assert w1_speedup >= SPEEDUP_FLOOR, (
+        f"fused batch query on lengths 4..64 is only {w1_speedup:.1f}x the "
+        f"seed per-pattern path ({w1_batch_seconds:.3f} s vs {w1_legacy_seconds:.3f} s)"
+    )
 
     # Sharded fan-out: serial vs the persistent process pool, recorded
     # but not gated (scaling depends on the runner's cores).  Answers
@@ -117,20 +135,16 @@ def test_query_batch_fused_speedup():
 
     sharded = ShardedUsiIndex.build(collection, 4, k=BENCH_K // docs)
     shard_patterns = patterns[:2_000]
-    shard_serial_seconds = float("inf")
-    for _ in range(2):
-        t0 = time.perf_counter()
-        serial_answers = sharded.query_batch(shard_patterns)
-        shard_serial_seconds = min(shard_serial_seconds, time.perf_counter() - t0)
+    serial_answers, shard_serial_seconds = _best_of_two(
+        lambda: sharded.query_batch(shard_patterns)
+    )
     shard_pool_seconds = None
     pool_workers = 0
     if sharded.start_query_pool():
         pool_workers = sharded.query_pool_workers
-        shard_pool_seconds = float("inf")
-        for _ in range(2):
-            t0 = time.perf_counter()
-            pooled_answers = sharded.query_batch(shard_patterns)
-            shard_pool_seconds = min(shard_pool_seconds, time.perf_counter() - t0)
+        pooled_answers, shard_pool_seconds = _best_of_two(
+            lambda: sharded.query_batch(shard_patterns)
+        )
         assert pooled_answers == serial_answers
         sharded.stop_query_pool()
 
@@ -146,6 +160,9 @@ def test_query_batch_fused_speedup():
         "count_legacy_seconds": round(count_legacy_seconds, 6),
         "count_batch_seconds": round(count_batch_seconds, 6),
         "count_speedup": round(count_legacy_seconds / count_batch_seconds, 2),
+        "w1_legacy_seconds": round(w1_legacy_seconds, 6),
+        "w1_batch_seconds": round(w1_batch_seconds, 6),
+        "w1_speedup": round(w1_speedup, 2),
         "shard_patterns": len(shard_patterns),
         "shard_serial_seconds": round(shard_serial_seconds, 6),
         "shard_pool_seconds": (

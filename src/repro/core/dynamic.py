@@ -75,6 +75,7 @@ class DynamicUsiIndex:
         self._tail_codes: list[int] = []
         self._tail_utilities: list[float] = []
         self._psw_cache: "tuple[int, np.ndarray] | None" = None
+        self._tail_cache: "tuple[int, np.ndarray] | None" = None
         self.rebuild_count = 0
         self._base = UsiIndex.build(ws, k=k, miner=miner, aggregator=aggregator, seed=seed)
 
@@ -112,6 +113,7 @@ class DynamicUsiIndex:
         self._tail_codes = [int(code) for code in tail_codes]
         self._tail_utilities = [float(utility) for utility in tail_utilities]
         self._psw_cache = None
+        self._tail_cache = None
         self.rebuild_count = int(rebuild_count)
         self._base = base
         return self
@@ -193,6 +195,7 @@ class DynamicUsiIndex:
         self._tail_codes.clear()
         self._tail_utilities.clear()
         self._psw_cache = None
+        self._tail_cache = None
         self.rebuild_count += 1
 
     def to_weighted_string(self) -> WeightedString:
@@ -291,8 +294,16 @@ class DynamicUsiIndex:
 
     def _full_codes_region(self, start: int) -> np.ndarray:
         base_ws = self._base.weighted_string
+        return np.concatenate((base_ws.codes[start:].astype(np.int64), self._tail_array()))
+
+    def _tail_array(self) -> np.ndarray:
+        """The tail letters as an int64 array, cached until the next append."""
+        cached = getattr(self, "_tail_cache", None)
+        if cached is not None and cached[0] == len(self._tail_codes):
+            return cached[1]
         tail = np.asarray(self._tail_codes, dtype=np.int64)
-        return np.concatenate((base_ws.codes[start:].astype(np.int64), tail))
+        self._tail_cache = (len(tail), tail)
+        return tail
 
     def _full_prefix_sums(self) -> np.ndarray:
         cached = self._psw_cache

@@ -433,10 +433,11 @@ class UsiIndex:
         Groups patterns by length and fingerprints each group with one
         numpy pass (columns of a pattern matrix), so hash-table hits
         cost amortised sub-microsecond.  Misses go through the shared
-        kernel's batch locate (packed-key ``searchsorted`` per length
-        bucket) and one fancy-indexed ``PSW`` gather, so the uncached
-        path is NumPy-bound too; only FM/suffix-tree locate backends
-        fall back to the per-pattern loop.  Answers match :meth:`query`
+        kernel's batch locate (``searchsorted`` over the suffix array's
+        prefix-key array per length bucket) and one fancy-indexed
+        ``PSW`` gather, so the uncached path is NumPy-bound too; only
+        FM/suffix-tree locate backends fall back to the per-pattern
+        loop.  Answers match :meth:`query`
         (order preserved; sums of many occurrences may differ in the
         last float ULP from the scalar path's accumulation order).
 

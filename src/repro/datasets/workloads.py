@@ -216,8 +216,8 @@ def build_adversarial(
     * **a^m b^m sweeps** over the two most common letters — the
       classic induced-sorting stressor (maximal same-letter chains);
     * **text prefixes** at geometrically growing lengths — long
-      patterns that overflow the packed-key fast path into the
-      lockstep binary-search fallback.
+      patterns that outgrow the prefix-key width into the lockstep
+      binary search inside their prefix interval.
 
     Patterns may or may not occur in the text; both sides matter
     (non-occurring worst cases still pay the full descent).

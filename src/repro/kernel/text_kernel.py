@@ -44,7 +44,7 @@ from repro.utility.functions import (
 from repro.utility.prefix_sums import PswArray
 
 #: How many SA-order window-utility arrays one kernel caches for the
-#: fused gather (each is one float64 per suffix, like a packed-key row).
+#: fused gather (each is one float64 per suffix).
 _WINDOW_CACHE_LIMIT = 8
 
 #: Listeners fed one dict per TextKernel substrate build/open.

@@ -2,20 +2,26 @@
 
 The scalar ``SuffixArray.interval`` walks an ``O(m log n)`` binary
 search one pattern at a time in pure Python.  This module answers the
-SA intervals of a whole *batch* of equal-length patterns with numpy:
+SA intervals of a whole *batch* of equal-length patterns with numpy,
+from one **prefix-key array** per suffix array:
 
-* **packed keys** — when the ``m``-letter windows fit into an int64
-  (``(sigma + 1)^m < 2^62``), every suffix's first ``m`` letters are
-  rank-encoded into one base-``sigma+2`` integer.  In SA order those
-  keys are non-decreasing (the pad digit 0 sorts before every letter),
-  so one ``np.searchsorted`` per side yields all intervals at once;
-* **lockstep binary search** — for long patterns or huge alphabets the
-  classic two binary searches run over the whole batch in lockstep:
-  each of the ``O(log n)`` rounds gathers one ``(B, m)`` window matrix
-  with a single fancy-index and compares it row-wise against the
-  pattern matrix.
+* every suffix's first ``W`` letters are rank-encoded into one
+  base-``B`` int64, ``B = max code + 2`` and ``W = pack_limit(B)`` the
+  longest width that fits (26 letters of DNA, 13 of a 25-letter
+  alphabet).  In SA order the keys are non-decreasing (the pad digit
+  0, past the end of the text, sorts before every letter).  The array
+  costs 8 bytes per text character and is built once, by
+  :func:`packed_window_keys`;
+* a pattern of ``m <= W`` letters matches exactly the suffixes whose
+  keys lie in ``[key * B^(W-m), (key + 1) * B^(W-m))``, so two
+  ``np.searchsorted`` calls yield the intervals of the whole batch;
+* a longer pattern takes the interval of its ``W``-letter prefix the
+  same way, then the classic two binary searches run over the batch
+  in lockstep *inside* those intervals: each round gathers one window
+  matrix of the letters after the first ``W`` with a single
+  fancy-index and compares it row-wise against the patterns.
 
-Both paths return exactly the interval the scalar search would: the
+Both steps return exactly the interval the scalar search would: the
 closed SA range ``[lb, rb]`` of suffixes having the pattern as a
 prefix, ``(0, -1)`` when absent.
 """
@@ -61,17 +67,20 @@ def packed_window_keys(codes: np.ndarray, sa: np.ndarray, length: int, base: int
 
     Letters are shifted by +1 so the pad digit 0 (positions past the
     end of the text) sorts before every real letter, matching the
-    prefix-aware comparison of the scalar search.  The result is
-    non-decreasing along the suffix array.
+    prefix-aware comparison of the scalar search.  The keys are built
+    in text order with *length* Horner passes over contiguous slices,
+    then gathered once by the suffix array; the result is
+    non-decreasing along it.
     """
     n = len(codes)
-    padded = np.concatenate(
-        (np.asarray(codes, dtype=np.int64) + 1, np.zeros(length, dtype=np.int64))
-    )
+    padded = np.zeros(n + length, dtype=np.int64)
+    padded[:n] = codes
+    padded[:n] += 1
     keys = np.zeros(n, dtype=np.int64)
     for j in range(length):
-        keys = keys * base + padded[sa + j]
-    return keys
+        keys *= base
+        keys += padded[j : j + n]
+    return keys[sa]
 
 
 def pack_patterns(matrix: np.ndarray, base: int) -> np.ndarray:
@@ -82,80 +91,81 @@ def pack_patterns(matrix: np.ndarray, base: int) -> np.ndarray:
     return keys
 
 
-def _batch_compare(padded: np.ndarray, sa: np.ndarray, mids: np.ndarray,
-                   matrix: np.ndarray) -> np.ndarray:
+def _batch_compare(codes: np.ndarray, sa: np.ndarray, mids: np.ndarray,
+                   matrix: np.ndarray, depth: int) -> np.ndarray:
     """Sign of (suffix at ``sa[mid]`` vs pattern) per row, prefix-aware.
 
-    0 means the pattern is a prefix of the suffix; padding positions
-    carry the sentinel -1, so a suffix shorter than the pattern
-    compares below it, exactly like ``SuffixArray._compare_suffix``.
+    Only letters from *depth* on are compared: the caller guarantees
+    the first *depth* already match.  0 means the pattern is a prefix
+    of the suffix; positions past the end of the text read as -1, so
+    a suffix shorter than the pattern compares below it, exactly like
+    ``SuffixArray._compare_suffix``.
     """
-    m = matrix.shape[1]
-    starts = sa[mids]
-    windows = padded[starts[:, None] + np.arange(m)]
-    neq = windows != matrix
+    n = len(codes)
+    positions = sa[mids][:, None] + np.arange(depth, matrix.shape[1])
+    windows = np.where(positions < n, codes[np.minimum(positions, n - 1)], -1)
+    neq = windows != matrix[:, depth:]
     any_neq = neq.any(axis=1)
     first = np.where(any_neq, neq.argmax(axis=1), 0)
     rows = np.arange(len(matrix))
     window_letter = windows[rows, first]
-    pattern_letter = matrix[rows, first]
+    pattern_letter = matrix[rows, depth + first]
     return np.where(any_neq, np.sign(window_letter - pattern_letter), 0)
 
 
-def batch_interval_lockstep(codes: np.ndarray, sa: np.ndarray,
-                            matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All SA intervals via two lockstep binary searches (any length)."""
+def batch_interval_lockstep(codes: np.ndarray, sa: np.ndarray, matrix: np.ndarray,
+                            lo: np.ndarray, hi: np.ndarray,
+                            depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """SA intervals via two lockstep binary searches (any length).
+
+    Row ``r`` is searched inside the SA range ``[lo[r], hi[r])``, whose
+    suffixes all share the row's first *depth* letters; an empty range
+    yields an empty interval.  Returns closed ``(lb, rb)`` arrays.
+    """
     n = len(codes)
-    batch, m = matrix.shape
     # Keep the codes' own dtype: memory-mapped int32 texts must not be
     # copied up to int64 here (comparisons broadcast across widths).
     codes = np.asarray(codes)
-    padded = np.concatenate((codes, np.full(m, -1, dtype=codes.dtype)))
     matrix = np.asarray(matrix, dtype=np.int64)
+    hi = np.asarray(hi, dtype=np.int64)
 
-    # Lower bound: first suffix comparing >= the pattern.
-    lo = np.zeros(batch, dtype=np.int64)
-    hi = np.full(batch, n, dtype=np.int64)
-    while True:
-        active = lo < hi
-        if not active.any():
-            break
-        mid = np.minimum((lo + hi) >> 1, n - 1)
-        cmp = _batch_compare(padded, sa, mid, matrix)
-        go_right = active & (cmp < 0)
-        lo = np.where(go_right, mid + 1, lo)
-        hi = np.where(active & ~go_right, mid, hi)
-    lb = lo.copy()
+    def first_suffix(lo: np.ndarray, above: bool) -> np.ndarray:
+        # Per row, the first suffix in [lo, hi) comparing > the pattern
+        # (above) or >= it (not above).
+        top = hi
+        while True:
+            active = lo < top
+            if not active.any():
+                return lo
+            mid = np.minimum((lo + top) >> 1, n - 1)
+            cmp = _batch_compare(codes, sa, mid, matrix, depth)
+            go_right = active & ((cmp <= 0) if above else (cmp < 0))
+            lo = np.where(go_right, mid + 1, lo)
+            top = np.where(active & ~go_right, mid, top)
 
-    # Upper bound: first suffix comparing > the pattern.
-    hi = np.full(batch, n, dtype=np.int64)
-    while True:
-        active = lo < hi
-        if not active.any():
-            break
-        mid = np.minimum((lo + hi) >> 1, n - 1)
-        cmp = _batch_compare(padded, sa, mid, matrix)
-        go_right = active & (cmp <= 0)
-        lo = np.where(go_right, mid + 1, lo)
-        hi = np.where(active & ~go_right, mid, hi)
-    rb = lo - 1
-    return lb, rb
+    lb = first_suffix(np.asarray(lo, dtype=np.int64), above=False)
+    return lb, first_suffix(lb, above=True) - 1
 
 
 def batch_intervals(
     codes: np.ndarray,
     sa: np.ndarray,
+    keys: np.ndarray,
+    base: int,
     matrix: np.ndarray,
-    packed_keys: "np.ndarray | None" = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closed SA intervals ``[lb, rb]`` for every row of *matrix*.
 
-    Rows containing letters outside ``[0, max(codes)]`` cannot occur
-    and report the empty interval ``(0, -1)`` directly.  When
-    *packed_keys* (from :func:`packed_window_keys`, cached by the
-    caller) is given or the window length packs into int64, intervals
-    come from two ``np.searchsorted`` calls; otherwise the lockstep
-    binary search handles arbitrary lengths.
+    *keys* is the SA-order prefix-key array
+    ``packed_window_keys(codes, sa, pack_limit(base), base)`` with
+    ``base = max(codes) + 2``.  Rows containing letters outside
+    ``[0, max(codes)]`` cannot occur and report the empty interval
+    ``(0, -1)`` directly.  A pattern of ``m <= W = pack_limit(base)``
+    letters matches exactly the suffixes whose keys fall in
+    ``[key * base^(W-m), (key + 1) * base^(W-m))``, so two
+    ``np.searchsorted`` calls answer the whole batch.  Longer patterns
+    take the interval of their ``W``-letter prefix the same way and
+    finish with the lockstep binary search inside it.
     """
     matrix = np.ascontiguousarray(matrix, dtype=np.int64)
     if matrix.ndim != 2:
@@ -165,24 +175,22 @@ def batch_intervals(
     rb = np.full(batch, -1, dtype=np.int64)
     if batch == 0 or m == 0 or m > len(codes):
         return lb, rb
-    max_code = int(codes.max())
-    valid = (matrix.min(axis=1) >= 0) & (matrix.max(axis=1) <= max_code)
+    valid = (matrix.min(axis=1) >= 0) & (matrix.max(axis=1) <= base - 2)
     if not valid.any():
         return lb, rb
     sub = matrix[valid]
-    base = max_code + 2
-    if packed_keys is not None or m <= pack_limit(base):
-        if packed_keys is None:
-            packed_keys = packed_window_keys(codes, sa, m, base)
-        pattern_keys = pack_patterns(sub, base)
-        left = np.searchsorted(packed_keys, pattern_keys, side="left")
-        right = np.searchsorted(packed_keys, pattern_keys, side="right") - 1
+    width = pack_limit(base)
+    head = min(m, width)
+    scale = base ** (width - head)
+    pattern_keys = pack_patterns(sub[:, :head], base)
+    left = np.searchsorted(keys, pattern_keys * scale)
+    end = np.searchsorted(keys, (pattern_keys + 1) * scale)
+    if m > width:
+        left, right = batch_interval_lockstep(codes, sa, sub, left, end, depth=width)
     else:
-        left, right = batch_interval_lockstep(codes, sa, sub)
+        right = end - 1
     # Normalise absent patterns to the scalar search's (0, -1).
     empty = right < left
-    left = np.where(empty, 0, left)
-    right = np.where(empty, -1, right)
-    lb[valid] = left
-    rb[valid] = right
+    lb[valid] = np.where(empty, 0, left)
+    rb[valid] = np.where(empty, -1, right)
     return lb, rb

@@ -11,7 +11,6 @@ set and is the practical choice in Python (see DESIGN.md) — the extra
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from typing import Literal, Sequence
 
 import numpy as np
@@ -25,10 +24,6 @@ from repro.suffix.doubling import (
 )
 from repro.suffix.lcp import lcp_array_kasai, lcp_from_ranks
 from repro.suffix.sais import suffix_array_sais
-
-#: How many per-length packed-key arrays one SuffixArray caches for
-#: the batch path (each is one int64 per suffix).
-_KEY_CACHE_LIMIT = 8
 
 
 def build_suffix_array(
@@ -80,7 +75,7 @@ class SuffixArray:
         self.lcp_seconds = 0.0
         self.lcp_source: "str | None" = None
         self._lcp = self._build_lcp() if with_lcp else None
-        self._key_cache: "OrderedDict[int, np.ndarray]" = OrderedDict()
+        self._prefix_keys: "tuple[np.ndarray, int] | None" = None
 
     def _build_lcp(self) -> np.ndarray:
         """Build the LCP array, vectorised when rank arrays are held."""
@@ -115,20 +110,20 @@ class SuffixArray:
         instance.sa_seconds = 0.0
         instance.lcp_seconds = 0.0
         instance.lcp_source = None
-        instance._key_cache = OrderedDict()
+        instance._prefix_keys = None
         return instance
 
-    # Pickle: the packed-key cache and the doubling rank arrays are
+    # Pickle: the prefix-key array and the doubling rank arrays are
     # derived accelerators; drop both.
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        state.pop("_key_cache", None)
+        state.pop("_prefix_keys", None)
         state.pop("_ranks", None)
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._key_cache = OrderedDict()
+        self._prefix_keys = None
         self._ranks = None
         self.__dict__.setdefault("sa_seconds", 0.0)
         self.__dict__.setdefault("lcp_seconds", 0.0)
@@ -246,10 +241,14 @@ class SuffixArray:
         *matrix* holds one pattern per row; returns ``(lb, rb)`` int64
         arrays with one closed interval per row, identical to calling
         :meth:`interval` per pattern — but computed with the vectorised
-        kernel of :mod:`repro.suffix.batch` (packed-key searchsorted
-        when the length fits an int64 key, lockstep binary search
-        otherwise).  Packed key arrays are cached per length, so
-        repeated batches of a common length skip the encode pass.
+        kernel of :mod:`repro.suffix.batch`.  The first batch builds
+        one SA-order prefix-key array (every suffix's first ``W``
+        letters packed into an int64, 8 bytes per text character);
+        every later batch, of any length, reuses it.  Patterns of at
+        most ``W`` letters are answered by ``np.searchsorted`` alone;
+        longer ones (and every pattern once the alphabet is so large
+        that ``W`` is 1 or 2) finish with a lockstep binary search
+        inside the interval of their ``W``-letter prefix.
         """
         matrix = np.ascontiguousarray(matrix, dtype=np.int64)
         if matrix.ndim != 2:
@@ -259,30 +258,23 @@ class SuffixArray:
         if self._ranks is not None:
             self._ranks = None  # first query: shed the LCP-build aid
         t0 = time.perf_counter()
-        keys = self._packed_keys(matrix.shape[1])
-        result = batch_intervals(self._codes, self._sa, matrix, packed_keys=keys)
+        keys, base = self._packed_keys()
+        result = batch_intervals(self._codes, self._sa, keys, base, matrix)
         record_stage("locate", time.perf_counter() - t0)
         return result
 
-    def _packed_keys(self, length: int) -> "np.ndarray | None":
-        """The cached packed-key array for *length* (None if unpackable)."""
-        cache = getattr(self, "_key_cache", None)
-        if cache is None:
-            cache = self._key_cache = OrderedDict()
-        cached = cache.get(length)
-        if cached is not None:
-            cache.move_to_end(length)
-            return cached
-        if len(self._codes) == 0 or length > len(self._codes):
-            return None
-        base = int(self._codes.max()) + 2
-        if length > pack_limit(base):
-            return None
-        keys = packed_window_keys(self._codes, self._sa, length, base)
-        cache[length] = keys
-        if len(cache) > _KEY_CACHE_LIMIT:
-            cache.popitem(last=False)
-        return keys
+    def _packed_keys(self) -> "tuple[np.ndarray, int]":
+        """The SA-order prefix-key array and its base, built on first use.
+
+        Assigned once when finished: two concurrent first batches may
+        both build it, which costs time but never a wrong answer.
+        """
+        prefix = self._prefix_keys
+        if prefix is None:
+            base = int(self._codes.max()) + 2
+            keys = packed_window_keys(self._codes, self._sa, pack_limit(base), base)
+            prefix = self._prefix_keys = (keys, base)
+        return prefix
 
     def count(self, pattern: "Sequence[int] | np.ndarray") -> int:
         """The frequency ``|occ(pattern)|``."""

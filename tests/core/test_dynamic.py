@@ -91,6 +91,21 @@ class TestRebuildPolicy:
                 naive_global_utility(full, pattern)
             )
 
+    def test_tail_of_equal_length_after_rebuild_is_reread(self):
+        # The tail array is cached by tail length; a rebuild empties the
+        # tail, so a new tail of the old length must not reuse it.
+        dyn = DynamicUsiIndex(WeightedString.uniform("AB" * 4), k=2)
+        for _ in range(64):
+            dyn.append("A", 1.0)
+        assert dyn.query("AAA") == pytest.approx(3.0 * 62)
+        dyn.append("A", 1.0)  # past MIN_TAIL: rebuild, tail emptied
+        assert dyn.rebuild_count == 1 and dyn.tail_length == 0
+        for _ in range(64):
+            dyn.append("B", 1.0)
+        full = dyn.to_weighted_string()
+        for pattern in ("BBB", "AAB", "AAA"):
+            assert dyn.query(pattern) == pytest.approx(naive_global_utility(full, pattern))
+
     def test_invalid_fraction(self):
         with pytest.raises(ParameterError):
             DynamicUsiIndex(WeightedString.uniform("AB"), k=2, rebuild_fraction=0.0)

@@ -98,7 +98,8 @@ class TestBatchPath:
                 assert (int(lb[row]), int(rb[row])) == suffix.interval(pattern)
 
     def test_lockstep_path_agrees_with_packed(self):
-        # A huge alphabet forces the lockstep fallback (keys overflow).
+        # A huge alphabet packs only 2 letters per key, so 4-letter
+        # patterns finish with the lockstep search.
         rng = np.random.default_rng(5)
         codes = rng.integers(0, 2**21, size=400, dtype=np.int64)
         ws = WeightedString(codes, rng.uniform(0.1, 2.0, size=400))
