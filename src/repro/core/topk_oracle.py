@@ -332,26 +332,34 @@ class TopKOracle:
         its ``q(v)`` distinct substrings (shallower first), and stops
         after ``k`` substrings.  O(n + K), expansion vectorised.
         """
-        node_ids, lengths = self._expand_top(k)
+        lengths, lbs, rbs = self.top_k_intervals(k)
         return [
-            TopKTriplet(lcp=length, lb=lb, rb=rb, frequency=f)
-            for length, lb, rb, f in zip(
-                lengths.tolist(),
-                self._lb[node_ids].tolist(),
-                self._rb[node_ids].tolist(),
-                self._f[node_ids].tolist(),
-            )
+            TopKTriplet(lcp=length, lb=lb, rb=rb, frequency=rb - lb + 1)
+            for length, lb, rb in zip(lengths.tolist(), lbs.tolist(), rbs.tolist())
         ]
+
+    def top_k_intervals(self, k: int) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """Task (i) output as ``(lengths, lb, rb)`` arrays.
+
+        Substring ``i`` is the length-``lengths[i]`` prefix of every
+        suffix in ``SA[lb[i] .. rb[i]]``: its whole occurrence set, so
+        its frequency is the interval's width.  Every substring on one
+        node's edge shares that node's interval, and distinct substrings
+        of one length have disjoint intervals.  This is what the USI
+        construction consumes: it reads each global utility straight
+        off the interval, without a pass over the text.
+        """
+        node_ids, lengths = self._expand_top(k)
+        return lengths, self._lb[node_ids], self._rb[node_ids]
 
     def top_k_arrays(self, k: int) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
         """Task (i) output as ``(positions, lengths, frequencies)`` arrays.
 
         The array twin of :meth:`top_k` — same substrings, no Python
-        object per result; this is what the USI construction consumes.
+        object per result.
         """
-        node_ids, lengths = self._expand_top(k)
-        positions = self._sa_positions[self._lb[node_ids]]
-        return positions, lengths, self._f[node_ids]
+        lengths, lbs, rbs = self.top_k_intervals(k)
+        return self._sa_positions[lbs], lengths, rbs - lbs + 1
 
     def top_k(self, k: int) -> list[MinedSubstring]:
         """Task (i) output in the uniform witness-tuple form.

@@ -14,11 +14,18 @@ Construction (Theorem 1) has three phases:
 
 1. mine the top-K frequent substrings (Exact-Top-K -> **UET**, or
    Approximate-Top-K -> **UAT**);
-2. sliding-window pass per distinct substring length: fingerprint all
-   windows of that length, keep those matching a top-K substring, and
-   aggregate their local utilities into ``H`` — realised here as a
-   vectorised ``isin``/``bincount`` kernel, O(n) per length, O(n L_K)
-   total, exactly the paper's bound;
+2. fill ``H`` from the mined substrings' suffix-array intervals: a
+   top-K substring occurs exactly at the suffixes of its interval
+   ``SA[lb .. rb]`` (the lcp-interval view of Abouelhoda, Kurtz &
+   Ohlebusch, "Replacing suffix trees with enhanced suffix arrays",
+   JDA 2004), so its global utility is one gather of those suffixes'
+   local utilities from ``PSW``.  The exact miner reports the
+   intervals itself (the ``<lcp, lb, rb>`` triplets of Section V);
+   the approximate miner's witnesses are located with one batch SA
+   search per length.  One vectorised gather per distinct length —
+   the same gather the batch query path runs after locate — costs
+   O(sum of frequencies) <= O(n L_K), within the paper's bound for
+   its sliding-window pass, and fingerprints no text window;
 3. the text index and ``PSW``.
 """
 
@@ -35,7 +42,7 @@ from repro.core.topk_oracle import TopKOracle
 from repro.core.types import MinedSubstring
 from repro.errors import AlphabetError, ParameterError, PatternError
 from repro.hashing.karp_rabin import KarpRabinFingerprinter
-from repro.kernel import TextKernel
+from repro.kernel import TextKernel, interval_utilities
 from repro.strings.weighted import WeightedString
 from repro.suffix.suffix_array import SuffixArray
 from repro.utility.functions import (
@@ -68,7 +75,7 @@ class UsiBuildReport:
 
     Besides the paper's structural figures, the report carries a
     stage-level timing breakdown of the build pipeline (suffix array,
-    LCP, mining, sliding-window table), surfaced by ``usi build
+    LCP, mining, hash table), surfaced by ``usi build
     --profile`` and the build-speed benchmark.
     """
 
@@ -257,7 +264,7 @@ class UsiIndex:
             if k is None:
                 k = max(1, oracle.tune_by_tau(int(tau)).k)  # type: ignore[arg-type]
             tuning = oracle.tune_by_k(k)
-            mined_positions, mined_lengths, mined_freqs = oracle.top_k_arrays(k)
+            mined_lengths, mined_lbs, mined_rbs = oracle.top_k_intervals(k)
             fingerprinter = kernel.fingerprinter
             tau_k = tuning.tau
         elif miner == "approximate":
@@ -274,16 +281,22 @@ class UsiIndex:
             mined = at.mine()
             mined_positions = np.asarray([m.position for m in mined], dtype=np.int64)
             mined_lengths = np.asarray([m.length for m in mined], dtype=np.int64)
-            mined_freqs = np.asarray([m.frequency for m in mined], dtype=np.int64)
             fingerprinter = at.fingerprinter
-            tau_k = int(mined_freqs.min()) if len(mined_freqs) else 0
+            tau_k = min((m.frequency for m in mined), default=0)
         else:
             raise ParameterError(f"unknown miner {miner!r}")
         mining_seconds = time.perf_counter() - t0
 
         t0 = time.perf_counter()
+        if miner == "approximate":
+            # The sampled frequencies are estimates; the witnesses'
+            # true occurrence sets are their SA intervals.
+            mined_lbs, mined_rbs = cls._witness_intervals(
+                suffix_array, mined_positions, mined_lengths
+            )
         table, distinct_lengths = cls._build_table(
-            mined_positions, mined_lengths, fingerprinter, psw, utility, n
+            mined_lengths, mined_lbs, mined_rbs, suffix_array.sa,
+            fingerprinter, psw, utility,
         )
         table_seconds = time.perf_counter() - t0
 
@@ -331,54 +344,59 @@ class UsiIndex:
         )
 
     @staticmethod
+    def _witness_intervals(
+        suffix_array: SuffixArray, positions: np.ndarray, lengths: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """SA intervals ``(lb, rb)`` of the substrings ``S[p .. p + l - 1]``.
+
+        One :meth:`SuffixArray.interval_batch` call per distinct length,
+        over the matrix of the witnesses' letters.
+        """
+        lbs = np.empty(len(positions), dtype=np.int64)
+        rbs = np.empty(len(positions), dtype=np.int64)
+        codes = suffix_array.codes
+        for length in np.unique(lengths).tolist():
+            rows = np.flatnonzero(lengths == length)
+            matrix = codes[positions[rows, None] + np.arange(length)]
+            lbs[rows], rbs[rows] = suffix_array.interval_batch(matrix)
+        return lbs, rbs
+
+    @staticmethod
     def _build_table(
-        mined_positions: np.ndarray,
-        mined_lengths: np.ndarray,
+        lengths: np.ndarray,
+        lbs: np.ndarray,
+        rbs: np.ndarray,
+        sa: np.ndarray,
         fingerprinter: KarpRabinFingerprinter,
         psw: LocalUtility,
         utility: GlobalUtility,
-        n: int,
     ) -> tuple[dict[int, float], int]:
-        """Phase (ii): the sliding-window global-utility aggregation.
+        """Phase (ii): read ``H`` off the mined substrings' SA intervals.
 
-        For each distinct length ``l`` among the mined substrings,
-        fingerprints every window of length ``l`` (vectorised O(n)),
-        keeps the windows whose fingerprint belongs to a mined
-        substring (one ``searchsorted`` probe of the sorted wanted
-        set — O(n log K) per length, no full-array sort), and folds
-        their local utilities into the hash table.  This computes
-        **exact** occurrence sets — so even for the approximate miner
-        the stored utilities are the true global utilities of the
-        (approximately chosen) substrings, mirroring the paper's
-        bitvector-guided window pass.
+        Substring ``i`` occurs exactly at the suffixes ``SA[lbs[i] ..
+        rbs[i]]``, so its global utility is one
+        :func:`~repro.kernel.interval_utilities` gather over that
+        interval — the same gather a batch query runs after locate, so
+        every stored value equals the miss path's answer bit for bit.
+        No text window is fingerprinted: ``H`` is keyed by the
+        fingerprint of each substring's witness ``SA[lb]`` and its
+        values are exact by construction, for either miner.
+
+        The gather runs once per distinct length.  Distinct substrings
+        of one length have disjoint intervals, so a length gathers at
+        most ``n`` occurrences and the whole phase ``sum freq <= n L_K``
+        — the paper's O(n L_K) bound (Theorem 1) and O(n) working
+        memory per length.
         """
-        mined_positions = np.asarray(mined_positions, dtype=np.int64)
-        mined_lengths = np.asarray(mined_lengths, dtype=np.int64)
-        distinct_lengths = np.unique(mined_lengths)
-
+        distinct = np.unique(lengths)
         table: dict[int, float] = {}
-        for length in distinct_lengths.tolist():
-            group = mined_positions[mined_lengths == length]
-            wanted = np.unique(fingerprinter.windows_at(group, length))
-            window_fps = fingerprinter.all_windows(length)
-            probes = np.searchsorted(wanted, window_fps)
-            probes[probes == len(wanted)] = 0
-            mask = wanted[probes] == window_fps
-            positions = np.flatnonzero(mask)
-            if positions.size == 0:  # pragma: no cover - mined from text
-                continue
-            # The probe indices double as group ids into the sorted
-            # wanted set — no re-sort of the hit fingerprints needed.
-            groups = probes[positions]
-            locals_ = psw.local_utilities(positions, length)
-            aggregated = utility.grouped_aggregate(groups, locals_, len(wanted))
-            occupied = np.zeros(len(wanted), dtype=bool)
-            occupied[groups] = True
-            for key, value in zip(
-                wanted[occupied].tolist(), aggregated[occupied].tolist()
-            ):
-                table[int(key)] = float(value)
-        return table, len(distinct_lengths)
+        for length in distinct.tolist():
+            group = lengths == length
+            lb, rb = lbs[group], rbs[group]
+            keys = fingerprinter.windows_at(sa[lb], length)
+            values = interval_utilities(sa, lb, rb, length, psw, utility)
+            table.update(zip(keys.tolist(), values.tolist()))
+        return table, len(distinct)
 
     # ------------------------------------------------------------------
     # Query

@@ -11,8 +11,8 @@ hashes modulo distinct 31-bit primes and combine them into a single
   matching the paper's "with high probability" guarantee;
 * all arithmetic fits in ``int64`` (values < 2^31, products < 2^62),
   so window fingerprints for a whole text can be computed with
-  vectorised ``numpy`` — this is the kernel behind the USI
-  construction's sliding-window phase.
+  vectorised ``numpy`` — this is the kernel behind the length-band
+  mining sweeps of :mod:`repro.core.mining`.
 
 The fingerprinter precomputes prefix hashes once (``O(n)``) and then
 answers the fingerprint of any fragment in ``O(1)``, exactly the
@@ -165,7 +165,8 @@ class KarpRabinFingerprinter:
         """Fingerprints of every window ``S[i .. i + length - 1]``, vectorised.
 
         Returns an ``int64`` array of ``n - length + 1`` combined keys.
-        This is the bulk kernel used by USI construction Phase (ii).
+        This is the bulk kernel of the length-band miners
+        (:mod:`repro.core.mining`).
         """
         if length <= 0 or length > self._n:
             raise ParameterError(f"window length {length} out of range")
@@ -183,8 +184,8 @@ class KarpRabinFingerprinter:
 
         The vectorised twin of :meth:`fragment` for ragged batches —
         one gather per prefix/power table instead of a Python call per
-        fragment (this is the bulk kernel behind the miners' merge
-        keys and the USI table build).
+        fragment (this is the bulk kernel behind the approximate
+        miner's merge keys).
         """
         positions = np.asarray(positions, dtype=np.int64)
         lengths = np.asarray(lengths, dtype=np.int64)
@@ -200,7 +201,11 @@ class KarpRabinFingerprinter:
         return (f1 << np.int64(31)) | f2
 
     def windows_at(self, positions: np.ndarray, length: int) -> np.ndarray:
-        """Fingerprints of the windows starting at *positions*, vectorised."""
+        """Fingerprints of the windows starting at *positions*, vectorised.
+
+        The USI table build keys ``H`` with these, one call per mined
+        length.
+        """
         positions = np.asarray(positions, dtype=np.int64)
         if positions.size and (
             int(positions.min()) < 0 or int(positions.max()) + length > self._n

@@ -10,6 +10,7 @@ plus the vectorised batch locate/aggregate path every backend's
 from repro.kernel.text_kernel import (
     TextKernel,
     add_build_listener,
+    interval_utilities,
     iter_length_buckets,
     record_kernel_builds,
     remove_build_listener,
@@ -18,6 +19,7 @@ from repro.kernel.text_kernel import (
 __all__ = [
     "TextKernel",
     "add_build_listener",
+    "interval_utilities",
     "iter_length_buckets",
     "record_kernel_builds",
     "remove_build_listener",

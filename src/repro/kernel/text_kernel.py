@@ -13,7 +13,10 @@ The kernel also owns the **vectorised batch query path**: pattern
 batches are grouped by length, located with the suffix-array batch
 kernel (:mod:`repro.suffix.batch`), and their occurrence utilities
 gathered from ``PSW`` with one fancy-index + one grouped aggregation —
-the NumPy-bound warm path behind every backend's ``query_batch``.
+the NumPy-bound warm path behind every backend's ``query_batch``.  That
+gather (:func:`interval_utilities`) is also how the USI construction
+fills its hash table from the miners' intervals, so a stored value and
+a recomputed one agree bit for bit.
 
 Construction is observable: :func:`record_kernel_builds` registers a
 listener fed one event dict per substrate build, which is how the
@@ -97,6 +100,52 @@ def iter_length_buckets(encoded: "Sequence[np.ndarray | None]"):
             by_length.setdefault(len(codes), []).append(slot)
     for length, slots in by_length.items():
         yield length, slots, np.vstack([encoded[slot] for slot in slots])
+
+
+def interval_utilities(
+    sa: np.ndarray,
+    lb: np.ndarray,
+    rb: np.ndarray,
+    length: int,
+    psw: LocalUtility,
+    utility: GlobalUtility,
+    *,
+    window: "np.ndarray | None" = None,
+    arange: "Callable[[int], np.ndarray]" = np.arange,
+) -> np.ndarray:
+    """Global utility of every SA interval ``[lb[i], rb[i]]``, vectorised.
+
+    The one interval -> utility gather behind both the batch query path
+    (:meth:`TextKernel.batch_utilities`, after locate) and the USI
+    construction (the miners' intervals, :meth:`UsiIndex.build`): every
+    interval's suffixes are unrolled in SA order, their length-*length*
+    local utilities gathered from *psw* at ``sa[rank]`` with one fancy
+    index, and folded per interval with one grouped aggregation.  Each
+    interval accumulates in SA order whatever else is in the call, so a
+    pattern's value does not depend on the batch it was answered in.
+
+    Empty intervals (``rb < lb``) report the aggregator identity.
+    *window*, when given, holds every suffix's local utility in SA
+    order (the kernel's fused-gather cache) and replaces the SA + PSW
+    gathers with one index; *arange* may hand out a shared scratch
+    ``arange`` (read only).
+    """
+    counts = np.maximum(rb - lb + 1, 0)
+    out = np.full(len(counts), utility.identity, dtype=np.float64)
+    total = int(counts.sum())
+    if total == 0:
+        return out
+    row_ids = np.repeat(np.arange(len(counts)), counts)
+    starts = np.cumsum(counts) - counts
+    ranks = arange(total) - np.repeat(starts - lb, counts)
+    if window is not None:
+        locals_ = window[ranks]
+    else:
+        locals_ = psw.local_utilities(sa[ranks], length)
+    values = utility.grouped_aggregate(row_ids, locals_, len(counts))
+    occupied = counts > 0
+    out[occupied] = values[occupied]
+    return out
 
 
 class TextKernel:
@@ -306,11 +355,12 @@ class TextKernel:
 
         ``None`` entries (unencodable patterns) report the aggregator
         identity.  Patterns are bucketed by length; each bucket is one
-        batch locate, one fancy-indexed ``PSW`` gather over *all*
-        occurrences, and one grouped aggregation — the same occurrence
-        sets and utilities as the scalar SA path, in input order (sums
-        may differ from the scalar path in the last float ULP because
-        the grouped aggregation accumulates in a different order).
+        batch locate and one :func:`interval_utilities` gather — the
+        same occurrence sets and utilities as the scalar SA path, in
+        input order (sums may differ from the scalar path in the last
+        float ULP because the grouped aggregation accumulates in a
+        different order), and bit for bit the values the USI
+        construction stores in its hash table ``H``.
 
         Hot buckets run **fused**: once a ``(local, length)`` pair has
         gathered about one text's worth of occurrences, the kernel
@@ -329,22 +379,13 @@ class TextKernel:
         for length, slots, matrix in iter_length_buckets(encoded):
             lb, rb = self._suffix.interval_batch(matrix)
             t0 = time.perf_counter()
-            counts = np.maximum(rb - lb + 1, 0)
-            total = int(counts.sum())
-            if total == 0:
-                record_stage("gather", time.perf_counter() - t0)
-                continue
-            row_ids = np.repeat(np.arange(len(slots)), counts)
-            starts = np.cumsum(counts) - counts
-            ranks = self._scratch_arange(total) - np.repeat(starts - lb, counts)
-            window = self._window_locals(psw, length, total)
-            if window is not None:
-                locals_ = window[ranks]
-            else:
-                locals_ = psw.local_utilities(sa[ranks], length)
-            values = utility.grouped_aggregate(row_ids, locals_, len(slots))
-            occupied = np.flatnonzero(counts > 0)
-            out[np.asarray(slots, dtype=np.int64)[occupied]] = values[occupied]
+            total = int(np.maximum(rb - lb + 1, 0).sum())
+            if total:
+                out[np.asarray(slots, dtype=np.int64)] = interval_utilities(
+                    sa, lb, rb, length, psw, utility,
+                    window=self._window_locals(psw, length, total),
+                    arange=self._scratch_arange,
+                )
             record_stage("gather", time.perf_counter() - t0)
         return out.tolist()
 

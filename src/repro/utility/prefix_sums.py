@@ -8,8 +8,8 @@ two lookups:
     u(i, l) = PSW[i + l - 1] - PSW[i - 1]        (PSW[-1] := 0)
 
 The class also exposes a vectorised batch form used by the USI
-construction's sliding-window phase and by the suffix-array query
-path, which aggregate thousands of occurrences at once.
+construction's interval gather and by the suffix-array query path,
+which aggregate thousands of occurrences at once.
 """
 
 from __future__ import annotations
