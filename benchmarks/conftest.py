@@ -2,7 +2,7 @@
 
 Each benchmark module regenerates one table or figure of the paper at
 reproduction scale (n in the tens of thousands instead of billions; see
-DESIGN.md for the substitution argument).  Results are printed as
+"Substitutions relative to the paper" in README.md).  Results are printed as
 aligned tables and, when ``REPRO_WRITE_RESULTS=1`` is set, persisted
 under ``results/`` so a full ``pytest benchmarks/ --benchmark-only``
 run leaves a complete record.  Without the variable the committed

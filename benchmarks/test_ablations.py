@@ -1,4 +1,5 @@
-"""Ablations: design choices called out in DESIGN.md.
+"""Ablations: the substitutions listed in README.md ("Substitutions
+relative to the paper") and other design choices.
 
 Not paper figures — these quantify the reproduction's own engineering
 decisions so a downstream user can revisit them:

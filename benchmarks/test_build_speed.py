@@ -14,14 +14,23 @@ ran them:
 * the per-substring Python expansion of top-K triplets and the
   per-item fragment hashing of the sliding-window table phase.
 
+A second gate times the approximate miner's sparse suffix sort and
+sparse LCP (:class:`~repro.suffix.sparse.SparseSuffixArray`) over
+every sampling round of a ~100k-char XML text against the seed sparse
+path, composed here from the retained scalar ``FingerprintLce.lce``
+and a ``cmp_to_key(compare_suffixes)`` sort of the prefix-key tie
+runs; it asserts identical output and a >= 5x floor.
+
 Also emits ``results/BENCH_build.json`` (machine-readable per-stage
-seconds for both paths) under ``REPRO_WRITE_RESULTS=1``, which CI
-uploads as the build-speed trajectory artifact; the speedup assertion
-makes the CI job fail if the floor regresses.
+seconds for both paths, plus the ``sparse_*`` figures) under
+``REPRO_WRITE_RESULTS=1``, which CI uploads as the build-speed
+trajectory artifact; the speedup assertions make the CI job fail if a
+floor regresses.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import pathlib
@@ -31,17 +40,23 @@ import numpy as np
 
 import repro
 from repro.core.topk_oracle import TopKOracle
+from repro.datasets.registry import load
 from repro.hashing.karp_rabin import _MOD1, _MOD2, KarpRabinFingerprinter
 from repro.strings.weighted import WeightedString
 from repro.suffix.doubling import suffix_array_doubling
+from repro.suffix.lce import FingerprintLce
 from repro.suffix.lcp import lcp_array_kasai
 from repro.suffix.sais import suffix_array_sais, suffix_array_sais_list
+from repro.suffix.sparse import PREFIX_KEY_LETTERS, SparseSuffixArray
 from repro.suffix.suffix_array import SuffixArray
 from repro.utility.functions import make_global_utility, make_local_utility
 
 BENCH_N = 1_000_000
 BENCH_K = 2_000
 SPEEDUP_FLOOR = 5.0
+
+SPARSE_N = 100_000
+SPARSE_S = 17
 
 
 def _legacy_kr_tables(codes: np.ndarray, base: int, mod: int) -> tuple:
@@ -192,3 +207,81 @@ def test_build_pipeline_vectorised_speedup():
         results = pathlib.Path(__file__).resolve().parent.parent / "results"
         results.mkdir(exist_ok=True)
         (results / "BENCH_build.json").write_text(json.dumps(bench, indent=2) + "\n")
+
+
+def _legacy_sparse(codes: np.ndarray, positions: np.ndarray, lce: FingerprintLce) -> tuple:
+    """The seed sparse suffix array: the prefix-key lexsort, a comparator
+    re-sort of every tie run, then one scalar LCE per neighbour pair."""
+    pos = np.asarray(sorted(int(p) for p in positions), dtype=np.int64)
+    n = len(codes)
+    width = min(PREFIX_KEY_LETTERS, n)
+    padded = np.concatenate((codes, np.full(width, -1, dtype=np.int64)))
+    key = padded[pos[:, None] + np.arange(width, dtype=np.int64)[None, :]]
+    order = np.lexsort(key[:, ::-1].T)
+    ordered_pos = pos[order]
+    ordered_key = key[order]
+    ssa: list[int] = []
+    comparator = functools.cmp_to_key(lce.compare_suffixes)
+    ties = np.all(ordered_key[1:] == ordered_key[:-1], axis=1)
+    start = 0
+    total = len(ordered_pos)
+    while start < total:
+        end = start
+        while end < total - 1 and ties[end]:
+            end += 1
+        if end > start:
+            ssa.extend(sorted((int(p) for p in ordered_pos[start : end + 1]), key=comparator))
+        else:
+            ssa.append(int(ordered_pos[start]))
+        start = end + 1
+    slcp = [0] * len(ssa)
+    for idx in range(1, len(ssa)):
+        i, j = ssa[idx - 1], ssa[idx]
+        slcp[idx] = min(lce.lce(i, j), n - i, n - j)
+    return ssa, slcp
+
+
+def test_sparse_suffix_sort_batched_speedup():
+    """~100k XML chars, every round of s = 17: batched >= 5x the seed path."""
+    codes = np.asarray(load("XML", n=SPARSE_N, seed=0).codes, dtype=np.int64)
+    lce = FingerprintLce(codes)
+    rounds = [np.arange(r, len(codes), SPARSE_S, dtype=np.int64) for r in range(SPARSE_S)]
+
+    t0 = time.perf_counter()
+    legacy = [_legacy_sparse(codes, positions, lce) for positions in rounds]
+    legacy_seconds = time.perf_counter() - t0
+
+    # Best-of-2 on the fast side, as in the pipeline gate above.
+    batched_seconds = float("inf")
+    for _ in range(2):
+        t0 = time.perf_counter()
+        batched = [SparseSuffixArray(codes, positions, lce) for positions in rounds]
+        batched_seconds = min(batched_seconds, time.perf_counter() - t0)
+
+    for r, (ssa, (positions, slcp)) in enumerate(zip(batched, legacy)):
+        assert ssa.positions == positions, f"round {r}: sparse suffix order differs"
+        assert ssa.slcp == slcp, f"round {r}: sparse LCP differs"
+
+    speedup = legacy_seconds / batched_seconds
+    assert speedup >= SPEEDUP_FLOOR, (
+        f"batched sparse sort is only {speedup:.1f}x the seed path "
+        f"({batched_seconds:.3f} s vs {legacy_seconds:.3f} s)"
+    )
+
+    sparse = {
+        "sparse_n": len(codes),
+        "sparse_s": SPARSE_S,
+        "sparse_legacy_seconds": round(legacy_seconds, 6),
+        "sparse_batched_seconds": round(batched_seconds, 6),
+        "sparse_speedup": round(speedup, 2),
+        "sparse_speedup_floor": SPEEDUP_FLOOR,
+    }
+    print("\nBENCH_build (sparse): " + json.dumps(sparse, indent=2))
+    if os.environ.get("REPRO_WRITE_RESULTS") == "1":
+        # Merged into the pipeline gate's file, which runs first in CI.
+        results = pathlib.Path(__file__).resolve().parent.parent / "results"
+        results.mkdir(exist_ok=True)
+        path = results / "BENCH_build.json"
+        bench = json.loads(path.read_text()) if path.exists() else {}
+        bench.update(sparse)
+        path.write_text(json.dumps(bench, indent=2) + "\n")

@@ -12,11 +12,12 @@ summed sample frequencies never exceed true frequencies: the error is
 **one-sided** (frequencies are lower bounds), the key invariant of
 Theorem 3, and it is property-tested in this repository.
 
-Substitutions relative to the paper (see DESIGN.md): Prezza's in-place
-LCE is replaced by the Karp-Rabin fingerprint LCE (same polylog query
-class), and the content-comparison merge is keyed by O(1) fragment
-fingerprints — equal substrings collide w.h.p. exactly like the
-paper's hash table ``H`` keys.
+Substitutions relative to the paper (see "Substitutions relative to
+the paper" in README.md): Prezza's in-place LCE is replaced by the
+Karp-Rabin fingerprint LCE (same polylog query class), asked in
+lockstep batches by the sparse suffix sort, and the content-comparison
+merge is keyed by O(1) fragment fingerprints — equal substrings
+collide w.h.p. exactly like the paper's hash table ``H`` keys.
 """
 
 from __future__ import annotations
@@ -146,8 +147,8 @@ class ApproximateTopK:
         n = len(self._codes)
         positions = np.arange(round_index, n, self._s, dtype=np.int64)
         ssa = SparseSuffixArray(self._codes, positions, self._lce)
-        order = np.asarray(ssa.positions, dtype=np.int64)
-        slcp = np.asarray(ssa.slcp, dtype=np.int64)
+        order = ssa.positions_array
+        slcp = ssa.slcp_array
 
         depths, lbs, rbs, parents = lcp_interval_arrays(slcp)
         leaf_depths, slots, leaf_parents = leaf_interval_arrays(order, slcp, n)

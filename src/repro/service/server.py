@@ -120,6 +120,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         if self.close_connection:
             self.send_header("Connection", "close")
+        self._record_endpoint()
         self.end_headers()
         self.wfile.write(body)
 
@@ -137,8 +138,21 @@ class _Handler(BaseHTTPRequestHandler):
         if retry_after is not None:
             self.send_header("Retry-After", str(int(retry_after)))
         self.send_header("Connection", "close")
+        self._record_endpoint()
         self.end_headers()
         self.wfile.write(body)
+
+    def _start_endpoint(self, method: str) -> None:
+        self._pending_endpoint = (endpoint_class(method, self.path), time.perf_counter())
+
+    def _record_endpoint(self) -> None:
+        """Record the request's latency once, before its response is sent,
+        so a client that has read the answer finds it in ``GET /stats``."""
+        pending = getattr(self, "_pending_endpoint", None)
+        if pending is not None:
+            self._pending_endpoint = None
+            endpoints: EndpointMetrics = self.server.endpoint_metrics  # type: ignore[attr-defined]
+            endpoints.record(pending[0], time.perf_counter() - pending[1])
 
     # ------------------------------------------------------------------
     # Routes
@@ -147,15 +161,12 @@ class _Handler(BaseHTTPRequestHandler):
         if not self._begin_request():
             self._error(503, "server is shutting down")
             return
-        endpoints: EndpointMetrics = self.server.endpoint_metrics  # type: ignore[attr-defined]
-        t0 = time.perf_counter()
+        self._start_endpoint("GET")
         try:
             self._do_get()
         finally:
             self._end_request()
-            endpoints.record(
-                endpoint_class("GET", self.path), time.perf_counter() - t0
-            )
+            self._record_endpoint()
 
     def _do_get(self) -> None:
         if self.path == "/indexes":
@@ -189,15 +200,12 @@ class _Handler(BaseHTTPRequestHandler):
         if not self._begin_request():
             self._error(503, "server is shutting down")
             return
-        endpoints: EndpointMetrics = self.server.endpoint_metrics  # type: ignore[attr-defined]
-        t0 = time.perf_counter()
+        self._start_endpoint("POST")
         try:
             self._do_post()
         finally:
             self._end_request()
-            endpoints.record(
-                endpoint_class("POST", self.path), time.perf_counter() - t0
-            )
+            self._record_endpoint()
 
     def _do_post(self) -> None:
         if self.path == "/query":

@@ -63,3 +63,32 @@ class SparseTableRmq:
         if self._maximum:
             return max(left, right)
         return min(left, right)
+
+    def query_batch(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """:meth:`query` for every pair ``(lo[r], hi[r])``, vectorised.
+
+        Rows are grouped by their table level (``floor(log2(span))``),
+        and each distinct level costs one pair of fancy-indexed gathers,
+        so a batch of equal-length spans is two gathers in total.
+        """
+        lo = np.asarray(lo, dtype=np.int64)
+        hi = np.asarray(hi, dtype=np.int64)
+        if lo.shape != hi.shape or lo.ndim != 1:
+            raise ParameterError("lo and hi must be 1-D arrays of one length")
+        if lo.size and (int(lo.min()) < 0 or int(hi.max()) >= self._n or bool(np.any(lo > hi))):
+            raise ParameterError(f"a range in the batch is out of bounds for n={self._n}")
+        if not lo.size:
+            return np.empty(0, dtype=self._table[0].dtype if self._table else np.float64)
+        # frexp's exponent is bit_length(span): exact for spans below 2^53.
+        levels = np.frexp((hi - lo + 1).astype(np.float64))[1] - 1
+        reduce = np.maximum if self._maximum else np.minimum
+        distinct = np.unique(levels).tolist()
+        if len(distinct) == 1:
+            table = self._table[distinct[0]]
+            return reduce(table[lo], table[hi - (1 << distinct[0]) + 1])
+        out = np.empty(len(lo), dtype=self._table[0].dtype)
+        for level in distinct:
+            rows = np.flatnonzero(levels == level)
+            table = self._table[level]
+            out[rows] = reduce(table[lo[rows]], table[hi[rows] - (1 << level) + 1])
+        return out

@@ -4,8 +4,9 @@ Wraps a suffix array + LCP array with the classic ``O(m log n)``
 pattern search (two binary searches yielding the SA interval of all
 occurrences).  The paper performs locate with a suffix tree in
 ``O(m + occ)``; the SA binary search returns the identical occurrence
-set and is the practical choice in Python (see DESIGN.md) — the extra
-``log n`` applies equally to our index and all baselines.
+set and is the practical choice in Python (see "Substitutions relative
+to the paper" in README.md) — the extra ``log n`` applies equally to
+our index and all baselines.
 """
 
 from __future__ import annotations

@@ -145,10 +145,12 @@ class _RangeLocalUtility:
 
     def local_utilities(self, positions: np.ndarray, length: int) -> np.ndarray:
         positions = np.asarray(positions, dtype=np.int64)
-        return np.asarray(
-            [self.local_utility(int(p), length) for p in positions],
-            dtype=np.float64,
-        )
+        if positions.size and (
+            length <= 0 or int(positions.min()) < 0 or int(positions.max()) + length > len(self._w)
+        ):
+            raise ParameterError("fragment positions out of range")
+        # Every span has the same length, so this is one table level.
+        return self._rmq.query_batch(positions, positions + length - 1)
 
     def nbytes(self) -> int:
         return int(self._w.nbytes)

@@ -1,5 +1,7 @@
 """Tests for Approximate-Top-K (Section VI)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core.approximate import ApproximateTopK
 from repro.core.exact_topk import exact_top_k
+from repro.datasets.registry import load
 from repro.errors import ParameterError
 from repro.strings.occurrences import naive_occurrences, naive_substring_frequencies
 
@@ -106,3 +109,17 @@ class TestParameters:
         a = ApproximateTopK(text, k=5, s=3, seed=1).mine()
         b = ApproximateTopK(text, k=5, s=3, seed=1).mine()
         assert a == b
+
+    def test_mined_set_pinned_on_xml(self):
+        # The miner's output on a seeded XML text, pinned as a digest of
+        # every (position, length, frequency) it reports: a change to
+        # the sparse sort, its LCP or the merge that moves any answer
+        # fails here.  The XML text's long tag runs tie on the 24-letter
+        # prefix key, so the multikey tie sort runs in every round.
+        ws = load("XML", n=30_000, seed=5)
+        mined = ApproximateTopK(ws, k=300, s=6, seed=0).mine()
+        payload = ";".join(f"{m.position},{m.length},{m.frequency}" for m in mined)
+        assert len(mined) == 300
+        assert hashlib.sha256(payload.encode()).hexdigest() == (
+            "c5ee58c72b841863f7d0f2bb122ae0033a029f40948f447fc60b0cc5d374b335"
+        )

@@ -98,6 +98,29 @@ class TestRmq:
         hi = data.draw(st.integers(lo, len(values) - 1))
         assert rmq.query(lo, hi) == min(values[lo : hi + 1])
 
+    @given(
+        st.lists(st.integers(-100, 100), min_size=1, max_size=60),
+        st.booleans(),
+        st.data(),
+    )
+    def test_query_batch_matches_scalar_property(self, values, maximum, data):
+        # Mixed span lengths in one batch: several table levels at once.
+        rmq = SparseTableRmq(values, maximum=maximum)
+        n = len(values)
+        los = data.draw(st.lists(st.integers(0, n - 1), min_size=0, max_size=20))
+        his = [data.draw(st.integers(lo, n - 1)) for lo in los]
+        got = rmq.query_batch(np.asarray(los, dtype=np.int64), np.asarray(his, dtype=np.int64))
+        assert got.tolist() == [rmq.query(lo, hi) for lo, hi in zip(los, his)]
+
+    def test_query_batch_bad_range(self):
+        rmq = SparseTableRmq([1, 2, 3])
+        with pytest.raises(ParameterError):
+            rmq.query_batch(np.asarray([2]), np.asarray([1]))
+        with pytest.raises(ParameterError):
+            rmq.query_batch(np.asarray([0]), np.asarray([3]))
+        with pytest.raises(ParameterError):
+            rmq.query_batch(np.asarray([-1]), np.asarray([0]))
+
 
 class TestLce:
     @pytest.mark.parametrize("text", ["BANANA", "ABABABAB", "AAAA", "ABCDEF"])
@@ -135,6 +158,46 @@ class TestLce:
         # Force the binary-search path (> _DIRECT_SCAN letters equal).
         codes = np.zeros(200, dtype=np.int64)
         assert FingerprintLce(codes).lce(0, 50) == 150
+
+    @pytest.mark.parametrize("text", ["BANANA", "ABABABAB", "AAAA", "ABCDEF", "A"])
+    def test_both_batch_oracles_match_naive(self, text):
+        # Every pair at once, with i == j and the pairs that run to the
+        # end of the text among them.
+        codes = _encode(text).astype(np.int64)
+        index = SuffixArray(codes)
+        n = len(codes)
+        i, j = (grid.ravel() for grid in np.meshgrid(np.arange(n), np.arange(n)))
+        want = [naive_lce(codes, a, b) for a, b in zip(i.tolist(), j.tolist())]
+        assert FingerprintLce(codes).lce_batch(i, j).tolist() == want
+        assert SuffixArrayLce(codes, index.sa, index.lcp).lce_batch(i, j).tolist() == want
+
+    def test_batch_lower_bound_starts_the_search(self):
+        # Unary text: every pair shares all letters of the shorter suffix.
+        codes = np.zeros(300, dtype=np.int64)
+        i = np.asarray([0, 10, 299, 150])
+        j = np.asarray([100, 10, 0, 149])
+        want = [200, 290, 1, 150]
+        assert FingerprintLce(codes).lce_batch(i, j, lo=1).tolist() == want
+        assert FingerprintLce(codes).lce_batch(i, j, lo=np.asarray([150, 0, 1, 100])).tolist() == want
+
+    def test_batch_out_of_range_and_empty(self):
+        codes = _encode("ABAB").astype(np.int64)
+        index = SuffixArray(codes)
+        for oracle in (FingerprintLce(codes), SuffixArrayLce(codes, index.sa, index.lcp)):
+            assert oracle.lce_batch(np.asarray([5, 0, 4]), np.asarray([0, 5, 4])).tolist() == [0, 0, 0]
+            assert oracle.lce_batch(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)).tolist() == []
+
+    @given(texts_mixed(max_size=50), st.data())
+    def test_batch_oracles_property(self, text, data):
+        codes = _encode(text).astype(np.int64)
+        index = SuffixArray(codes)
+        n = len(codes)
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=30))
+        i = np.asarray([a for a, _ in pairs], dtype=np.int64)
+        j = np.asarray([b for _, b in pairs], dtype=np.int64)
+        want = [naive_lce(codes, a, b) for a, b in pairs]
+        assert FingerprintLce(codes).lce_batch(i, j).tolist() == want
+        assert SuffixArrayLce(codes, index.sa, index.lcp).lce_batch(i, j).tolist() == want
 
     @given(texts_mixed(max_size=50), st.data())
     def test_fingerprint_lce_property(self, text, data):

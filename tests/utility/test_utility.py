@@ -106,6 +106,22 @@ class TestRangeLocalUtilities:
     def test_out_of_range(self):
         with pytest.raises(ParameterError):
             RangeMinLocalUtility([1.0]).local_utility(0, 2)
+        with pytest.raises(ParameterError):
+            RangeMinLocalUtility([1.0, 2.0]).local_utilities(np.asarray([0, 1]), 2)
+        with pytest.raises(ParameterError):
+            RangeMaxLocalUtility([1.0, 2.0]).local_utilities(np.asarray([0]), 0)
+
+    @given(
+        st.lists(st.floats(-100, 100, allow_nan=False), min_size=1, max_size=50),
+        st.sampled_from([RangeMinLocalUtility, RangeMaxLocalUtility]),
+    )
+    def test_vectorised_matches_scalar_property(self, values, cls):
+        u = cls(values)
+        n = len(values)
+        for length in range(1, n + 1):
+            positions = np.arange(n - length + 1, dtype=np.int64)
+            batch = u.local_utilities(positions, length)
+            assert batch.tolist() == [u.local_utility(int(p), length) for p in positions]
 
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
